@@ -30,14 +30,14 @@ bench:
 # the checkpoint encoder's Checkpoint10M) alongside the telemetry,
 # gateway, fleet and topology suites, records name → ns/op, B/op,
 # allocs/op in BENCH_PR10.json, and gates the steady-state
-# zero-allocation contract: SimRun10M and the wheel churn benchmarks
-# must record 0 allocs/op.
+# zero-allocation contract: SimRun10M and the churn benchmarks of both
+# kernels must record 0 allocs/op.
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -benchtime 1s \
 		./internal/des ./internal/sim \
 		./internal/telemetry ./internal/gateway ./internal/fleet ./internal/topo
 	$(GO) run ./cmd/benchjson gate \
-		-pattern 'BenchmarkSimRun10M|BenchmarkEventKernelChurn/kernel=wheel' \
+		-pattern 'BenchmarkSimRun10M|BenchmarkEventKernelChurn' \
 		-max-allocs 0 BENCH_PR10.json
 
 # bench-compare re-measures the perf-critical benchmark suites (event

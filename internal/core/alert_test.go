@@ -44,6 +44,9 @@ func TestApplyAlertRemovesAndDedups(t *testing.T) {
 			if l.ApplyAlert(a) {
 				t.Fatal("duplicate ApplyAlert = true, want false")
 			}
+			if got := l.Alerts(); len(got) != 1 || got[0] != a {
+				t.Fatalf("Alerts() = %+v, want [%+v]", got, a)
+			}
 			if got := l.Observe(42, 7, start.Add(time.Second)); got != Deny {
 				t.Fatalf("Observe on alert-removed host = %v, want Deny", got)
 			}

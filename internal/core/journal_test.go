@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -146,37 +147,48 @@ func TestJournalReplayReproducesState(t *testing.T) {
 
 func TestCheckpointStateCutUnderLock(t *testing.T) {
 	start := msAligned(time.Unix(1000, 0))
-	l, err := NewLimiter(LimiterConfig{M: 4, Cycle: time.Hour}, start)
+	cfg := LimiterConfig{M: 4, Cycle: time.Hour}
+	exact, err := NewLimiter(cfg, start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &recJournal{}
-	l.SetJournal(j)
-	l.Observe(1, 1, start)
-	l.Observe(1, 2, start)
+	sketch, err := NewSketchLimiter(SketchConfig{LimiterConfig: cfg, Bits: 128}, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []ContainmentLimiter{exact, sketch} {
+		j := &recJournal{}
+		l.SetJournal(j)
+		l.Observe(1, 1, start)
+		l.Observe(1, 2, start)
 
-	var cutAt int
-	data, err := l.CheckpointState(func() { cutAt = len(j.kinds) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cutAt != 2 {
-		t.Fatalf("cut saw %d journal records, want 2", cutAt)
-	}
-	// The snapshot restores to exactly the cut-point state.
-	restored, err := RestoreLimiter(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.DistinctCount(1); got != 2 {
-		t.Fatalf("restored DistinctCount = %d, want 2", got)
-	}
-	// CheckpointState with nil cut degrades to MarshalState.
-	again, err := l.CheckpointState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, data) {
-		t.Fatal("CheckpointState(nil) differs from prior checkpoint of unchanged state")
+		var cutAt int
+		data, err := l.CheckpointState(func() { cutAt = len(j.kinds) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cutAt != 2 {
+			t.Fatalf("%T: cut saw %d journal records, want 2", l, cutAt)
+		}
+		// The snapshot restores to exactly the cut-point state, on the
+		// same backend.
+		restored, err := RestoreAnyLimiter(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%T", restored) != fmt.Sprintf("%T", l) {
+			t.Fatalf("%T restored as %T", l, restored)
+		}
+		if got := restored.DistinctCount(1); got != 2 {
+			t.Fatalf("%T: restored DistinctCount = %d, want 2", l, got)
+		}
+		// CheckpointState with nil cut degrades to MarshalState.
+		again, err := l.CheckpointState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("%T: CheckpointState(nil) differs from prior checkpoint of unchanged state", l)
+		}
 	}
 }

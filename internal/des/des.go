@@ -11,26 +11,27 @@
 //
 // Two backends implement the pending-event set (DESIGN.md §14):
 //
-//   - KernelHeap: a hand-rolled index-tracked binary (time, seq)
-//     min-heap (no container/heap, no interface boxing). O(log n) per
-//     event; the reference backend.
+//   - KernelHeap: a hand-rolled binary (time, seq) min-heap of inline
+//     event records (no container/heap, no interface boxing). O(log n)
+//     per event; the reference backend.
 //
 //   - KernelWheel: a hierarchical timing wheel (bucketed calendar
 //     queue) — power-of-two tick granularity, 4096-slot levels with
-//     occupancy bitmaps, buckets of chunked (at, seq, node) records
-//     drawn from a pooled chunk free list, cascading overflow levels
-//     for far-future timers. O(1) amortized per event, independent of
-//     the pending-set size, which is what lets internet-scale
-//     populations (10M+ hosts) simulate at full speed. See wheel.go.
+//     occupancy bitmaps, buckets of chunked event records drawn from a
+//     pooled chunk free list, cascading overflow levels for far-future
+//     events. O(1) amortized per event, independent of the pending-set
+//     size, which is what lets internet-scale populations (10M+ hosts)
+//     simulate at full speed. See wheel.go.
 //
-// The kernel is engineered for zero steady-state allocation (DESIGN.md
-// §9): a free-list node pool with a reuse-generation counter so stale
-// Timer handles are always safe, lazy deletion of canceled timers at
-// pop time, an argument-passing handler form (ScheduleArg) that lets
-// hot paths schedule events without allocating a closure per event, a
-// fire-and-forget form (Emit) that skips the pooled node entirely on
-// the wheel backend, and batched admission (ScheduleBatch) that seeds
-// whole populations of timers in one amortized pass.
+// Every event has one form: a fire-and-forget (at, seq, ArgHandler,
+// arg) record, admitted through Emit, EmitAt or ScheduleBatch. Events
+// cannot be canceled; a simulation that no longer wants an event lets
+// its handler find nothing to do. The kernel is engineered for zero
+// steady-state allocation (DESIGN.md §9): one handler function value is
+// shared by many events, each carrying its own integer argument, so
+// admission allocates no closure and no node, and batched admission
+// (ScheduleBatch) seeds whole populations of events in one amortized
+// pass.
 package des
 
 import (
@@ -41,15 +42,12 @@ import (
 	"wormcontain/internal/telemetry"
 )
 
-// Handler is the callback invoked when an event fires. It runs on the
-// simulator's single logical thread; it may schedule further events.
-type Handler func()
-
-// ArgHandler is the allocation-free handler form: one function value
-// (typically created once per simulation) shared by many events, each
-// carrying its own integer argument — a host index in the worm
-// simulator. Scheduling with ScheduleArg avoids the per-event closure
-// allocation the Handler form requires to capture state.
+// ArgHandler is the callback invoked when an event fires. It runs on
+// the simulator's single logical thread and may admit further events.
+// One function value (typically a method value bound once per
+// simulation) is shared by many events, each carrying its own integer
+// argument — a host index in the worm simulator — so admitting an
+// event allocates no closure.
 type ArgHandler func(arg int)
 
 // Kind selects the kernel's pending-event backend.
@@ -91,7 +89,7 @@ func ParseKind(s string) (Kind, error) {
 
 // DefaultWheelTick is the wheel granularity used when Config.WheelTick
 // is zero: fine enough that enterprise-scale runs keep O(1) buckets,
-// coarse enough that a far-future timer cascades only a handful of
+// coarse enough that a far-future event cascades only a handful of
 // times.
 const DefaultWheelTick = 16384 * time.Nanosecond
 
@@ -108,139 +106,95 @@ type Config struct {
 	WheelTick time.Duration
 }
 
-// timer is a pooled event node. Nodes are owned by the Simulator and
-// recycled through a free list; user code only ever holds Timer
-// handles, which carry the generation stamp that makes recycling safe.
-type timer struct {
-	at       time.Duration
-	seq      uint64
-	fn       Handler    // closure form (nil when argFn is set)
-	argFn    ArgHandler // argument form
-	arg      int
-	gen      uint32 // incremented on every recycle; stale handles mismatch
-	index    int32  // position in the heap, -1 once popped
-	canceled bool
-}
-
-// Timer identifies a scheduled event and allows cancellation. It is a
-// value handle onto a pooled node: holding one after the event fired
-// (or was canceled) is always safe — the node's reuse-generation
-// counter makes operations on stale handles inert no-ops, even after
-// the node has been recycled for a different event.
-type Timer struct {
-	n   *timer
-	gen uint32
+// event is one queued event: the (at, seq) ordering key and the
+// handler with its argument, all inline. Both backends store these
+// records by value — the heap backend in its queue, the wheel in its
+// bucket chunks and its due and overflow heaps — so no queued event
+// owns a separate node and firing touches nothing but the record.
+type event struct {
 	at  time.Duration
+	seq uint64
+	fn  ArgHandler
+	arg int
 }
 
-// At returns the virtual time the timer was scheduled to fire.
-func (t Timer) At() time.Duration { return t.at }
-
-// Cancel prevents the event from firing. Canceling an already-fired,
-// already-canceled or zero-value timer is a no-op; it reports whether
-// the call actually canceled a pending event. The canceled node stays
-// queued (heap or wheel bucket) and is discarded lazily when it
-// surfaces (lazy deletion), so Cancel is O(1) on both backends.
-func (t Timer) Cancel() bool {
-	n := t.n
-	if n == nil || n.gen != t.gen || n.canceled {
-		return false
-	}
-	n.canceled = true
-	n.fn, n.argFn = nil, nil // release references early
-	return true
-}
-
-// timerBlockSize is the node-pool slab size: when the free list runs
-// dry, nodes are carved from a fresh slab of this many, so a simulation
-// scheduling E events performs O(E / timerBlockSize) pool allocations
-// instead of E.
-const timerBlockSize = 256
-
-// timerHeap is a binary min-heap over (at, seq): the heap backend's
-// main queue. (The wheel backend's due/overflow heaps are entryHeap —
-// same order, but over records that carry the key inline.)
-type timerHeap []*timer
-
-// less orders nodes by (at, seq): virtual time first, scheduling order
+// less orders records by (at, seq): virtual time first, admission order
 // as the deterministic tie-break. seq is unique, so the order is a
 // strict total order — pop sequences depend only on the multiset of
-// queued nodes, never on internal heap arrangement. That is what makes
-// bulk heapify (ScheduleBatch) observationally identical to sequential
-// pushes.
-func less(a, b *timer) bool {
+// queued records, never on internal heap arrangement. That is what
+// makes bulk heapify (ScheduleBatch) observationally identical to
+// sequential pushes, and the wheel identical to the heap.
+func less(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// push appends t and restores the heap invariant (sift-up).
-func (h *timerHeap) push(t *timer) {
+// eventHeap is a binary min-heap of records ordered by (at, seq): the
+// heap backend's queue, and the wheel backend's due and overflow
+// stages.
+type eventHeap []event
+
+// push appends e and restores the heap invariant (sift-up).
+func (h *eventHeap) push(e event) {
 	s := *h
-	i := int32(len(s))
-	t.index = i
-	s = append(s, t)
+	i := len(s)
+	s = append(s, e)
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less(t, s[parent]) {
+		if !less(e, s[parent]) {
 			break
 		}
 		s[i] = s[parent]
-		s[i].index = i
 		i = parent
 	}
-	s[i] = t
-	t.index = i
+	s[i] = e
 	*h = s
 }
 
-// pop removes and returns the heap's minimum node (sift-down).
-func (h *timerHeap) pop() *timer {
+// pop removes and returns the heap's minimum record.
+func (h *eventHeap) pop() event {
 	s := *h
 	root := s[0]
 	n := len(s) - 1
 	last := s[n]
-	s[n] = nil
+	s[n] = event{} // drop the handler reference
 	s = s[:n]
 	*h = s
 	if n > 0 {
 		s[0] = last
-		last.index = 0
 		s.siftDown(0)
 	}
-	root.index = -1
 	return root
 }
 
-// siftDown re-seats the node at position i against its descendants.
-func (h timerHeap) siftDown(i int32) {
+// siftDown re-seats the record at position i against its descendants.
+func (h eventHeap) siftDown(i int) {
 	n := len(h)
-	t := h[i]
+	e := h[i]
 	for {
 		left := 2*i + 1
-		if int(left) >= n {
+		if left >= n {
 			break
 		}
 		child := left
-		if right := left + 1; int(right) < n && less(h[right], h[left]) {
+		if right := left + 1; right < n && less(h[right], h[left]) {
 			child = right
 		}
-		if !less(h[child], t) {
+		if !less(h[child], e) {
 			break
 		}
 		h[i] = h[child]
-		h[i].index = i
 		i = child
 	}
-	h[i] = t
-	t.index = i
+	h[i] = e
 }
 
 // heapify restores the heap invariant over the whole slice in O(n):
 // the bulk-admission path for ScheduleBatch on the heap backend.
-func (h timerHeap) heapify() {
-	for i := int32(len(h))/2 - 1; i >= 0; i-- {
+func (h eventHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
 }
@@ -254,10 +208,8 @@ type Simulator struct {
 	seq       uint64
 	kind      Kind
 	tickShift uint // log2 of the wheel tick in nanoseconds
-	heap      timerHeap
+	heap      eventHeap
 	wheel     wheelState
-	free      []*timer // recycled nodes, ready for reuse
-	slab      []timer  // current allocation block, carved node by node
 	fired     uint64
 	stopped   bool
 	metrics   *kernelMetrics
@@ -308,9 +260,9 @@ func NewWithConfig(cfg Config) *Simulator {
 
 // Configure switches the kernel backend. It may only be called while
 // no events are pending (freshly constructed or after Reset/drain);
-// configuring a loaded simulator panics. The node pool survives, so a
-// Monte-Carlo arena can flip backends between replications without
-// reallocating.
+// configuring a loaded simulator panics. Queue and chunk capacities
+// survive, so a Monte-Carlo arena can flip backends between
+// replications without reallocating.
 func (s *Simulator) Configure(cfg Config) {
 	if s.Pending() != 0 {
 		panic("des: Configure with pending events")
@@ -350,14 +302,11 @@ func (s *Simulator) WheelTick() time.Duration {
 }
 
 // Reset returns the simulator to its initial state — clock at zero, no
-// pending events — while keeping the node pool, queue capacities and
+// pending events — while keeping queue and chunk capacities and the
 // kernel configuration, so a Monte-Carlo replication loop can reuse
 // one Simulator per worker with zero per-replication allocation.
-// Pending events are discarded (their Timer handles turn stale).
+// Pending events are discarded.
 func (s *Simulator) Reset() {
-	for _, t := range s.heap {
-		s.recycle(t)
-	}
 	s.heap = s.heap[:0]
 	s.wheelReset()
 	s.now = 0
@@ -375,8 +324,7 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events waiting in the queue (including
-// canceled ones not yet discarded).
+// Pending returns the number of events waiting in the queue.
 func (s *Simulator) Pending() int {
 	if s.kind == KernelWheel {
 		return s.wheel.count
@@ -384,80 +332,9 @@ func (s *Simulator) Pending() int {
 	return len(s.heap)
 }
 
-// alloc hands out a timer node: from the free list when one is
-// available, otherwise carved from the current slab (refilled in
-// timerBlockSize batches).
-func (s *Simulator) alloc() *timer {
-	if n := len(s.free); n > 0 {
-		t := s.free[n-1]
-		s.free = s.free[:n-1]
-		return t
-	}
-	if len(s.slab) == 0 {
-		s.slab = make([]timer, timerBlockSize)
-	}
-	t := &s.slab[0]
-	s.slab = s.slab[1:]
-	return t
-}
-
-// recycle retires a node: bump its generation (staling every
-// outstanding handle), drop handler references, and push it onto the
-// free list.
-func (s *Simulator) recycle(t *timer) {
-	t.gen++
-	t.index = -1
-	t.fn, t.argFn = nil, nil
-	s.free = append(s.free, t)
-}
-
-// Schedule enqueues fn to run after delay of virtual time. A negative
+// Emit enqueues fn(arg) to run after delay of virtual time. A negative
 // delay is a programming error and panics; a zero delay fires at the
 // current instant, after already-queued events at that instant.
-func (s *Simulator) Schedule(delay time.Duration, fn Handler) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	return s.ScheduleAt(s.now+delay, fn)
-}
-
-// ScheduleAt enqueues fn to run at absolute virtual time at, which must
-// not be in the past.
-func (s *Simulator) ScheduleAt(at time.Duration, fn Handler) Timer {
-	if fn == nil {
-		panic("des: nil handler")
-	}
-	return s.schedule(at, fn, nil, 0)
-}
-
-// ScheduleArg enqueues fn(arg) to run after delay of virtual time. The
-// function value is typically shared across all events of a simulation
-// (a method value stored once), so scheduling allocates nothing beyond
-// the pooled node.
-func (s *Simulator) ScheduleArg(delay time.Duration, fn ArgHandler, arg int) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
-	return s.ScheduleArgAt(s.now+delay, fn, arg)
-}
-
-// ScheduleArgAt enqueues fn(arg) to run at absolute virtual time at,
-// which must not be in the past.
-func (s *Simulator) ScheduleArgAt(at time.Duration, fn ArgHandler, arg int) Timer {
-	if fn == nil {
-		panic("des: nil handler")
-	}
-	return s.schedule(at, nil, fn, arg)
-}
-
-// Emit enqueues fn(arg) to run after delay of virtual time,
-// fire-and-forget: no Timer handle is returned, so the event cannot be
-// canceled. In exchange, the wheel backend files the event entirely
-// inline — no pooled node, no fire-time pointer chase — which makes
-// this the preferred form for high-rate event streams that never
-// cancel (the worm simulator's scan events). On the heap backend Emit
-// costs exactly what ScheduleArg does. Delivery order is identical to
-// ScheduleArg on both backends.
 func (s *Simulator) Emit(delay time.Duration, fn ArgHandler, arg int) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
@@ -465,8 +342,8 @@ func (s *Simulator) Emit(delay time.Duration, fn ArgHandler, arg int) {
 	s.EmitAt(s.now+delay, fn, arg)
 }
 
-// EmitAt enqueues fn(arg) to run at absolute virtual time at,
-// fire-and-forget (see Emit).
+// EmitAt enqueues fn(arg) to run at absolute virtual time at, which must
+// not be in the past.
 func (s *Simulator) EmitAt(at time.Duration, fn ArgHandler, arg int) {
 	if fn == nil {
 		panic("des: nil handler")
@@ -474,42 +351,20 @@ func (s *Simulator) EmitAt(at time.Duration, fn ArgHandler, arg int) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: schedule at %v is before now %v", at, s.now))
 	}
-	if s.kind == KernelWheel {
-		s.wheel.count++
-		s.wheelPlace(wheelEntry{at: at, seq: s.seq, argFn: fn, arg: arg})
-		s.seq++
-		return
-	}
-	t := s.alloc()
-	t.at = at
-	t.seq = s.seq
-	t.fn = nil
-	t.argFn = fn
-	t.arg = arg
-	t.canceled = false
-	s.seq++
-	s.heap.push(t)
+	s.admit(at, fn, arg)
 }
 
-// schedule is the shared enqueue path.
-func (s *Simulator) schedule(at time.Duration, fn Handler, argFn ArgHandler, arg int) Timer {
-	if at < s.now {
-		panic(fmt.Sprintf("des: schedule at %v is before now %v", at, s.now))
-	}
-	t := s.alloc()
-	t.at = at
-	t.seq = s.seq
-	t.fn = fn
-	t.argFn = argFn
-	t.arg = arg
-	t.canceled = false
+// admit files a validated event in the active backend under the next
+// sequence number.
+func (s *Simulator) admit(at time.Duration, fn ArgHandler, arg int) {
+	e := event{at: at, seq: s.seq, fn: fn, arg: arg}
 	s.seq++
 	if s.kind == KernelWheel {
-		s.wheelInsert(t)
+		s.wheel.count++
+		s.wheelPlace(e)
 	} else {
-		s.heap.push(t)
+		s.heap.push(e)
 	}
-	return Timer{n: t, gen: t.gen, at: at}
 }
 
 // BatchEvent is one entry of a ScheduleBatch admission: fn(Arg) fires
@@ -521,14 +376,13 @@ type BatchEvent struct {
 }
 
 // ScheduleBatch enqueues every event of evs, assigning sequence numbers
-// in slice order — the fire order is byte-identical to calling
-// ScheduleArgAt in a loop over evs. The batch pays the admission cost
-// once: the heap backend bulk-loads and heapifies in O(k + n) instead
-// of n sift-ups, and the wheel backend's O(1) inserts skip the
-// per-call validation. This is how the sim engine seeds an outbreak's
-// initial timers and a whole population's countermeasure fires without
-// n scheduler round-trips. Timer handles are not returned; batch
-// admission is for fire-and-forget events.
+// in slice order — the fire order is byte-identical to calling EmitAt
+// in a loop over evs. The batch pays the admission cost once: the heap
+// backend bulk-loads and heapifies in O(k + n) instead of n sift-ups,
+// and the wheel backend's O(1) inserts skip the per-call validation.
+// This is how the sim engine seeds an outbreak's initial events and a
+// whole population's countermeasure fires without n scheduler
+// round-trips.
 func (s *Simulator) ScheduleBatch(evs []BatchEvent) {
 	for i := range evs {
 		if evs[i].Fn == nil {
@@ -538,38 +392,16 @@ func (s *Simulator) ScheduleBatch(evs []BatchEvent) {
 			panic(fmt.Sprintf("des: batch event at %v is before now %v", evs[i].At, s.now))
 		}
 	}
-	if s.kind == KernelWheel {
-		// Batch events are fire-and-forget by contract, so they take
-		// the inline record form: no nodes at all.
-		for i := range evs {
-			s.wheel.count++
-			s.wheelPlace(wheelEntry{
-				at: evs[i].At, seq: s.seq, argFn: evs[i].Fn, arg: evs[i].Arg})
-			s.seq++
-		}
-		if m := s.metrics; m != nil {
-			m.depth.Set(float64(s.Pending()))
-		}
-		return
-	}
 	// Heap backend: when the batch rivals the standing queue, append
 	// everything and heapify once (O(k+n)); for small top-ups the
 	// incremental sift-up is cheaper.
-	bulk := len(evs) > len(s.heap)
+	bulk := s.kind == KernelHeap && len(evs) > len(s.heap)
 	for i := range evs {
-		t := s.alloc()
-		t.at = evs[i].At
-		t.seq = s.seq
-		t.fn = nil
-		t.argFn = evs[i].Fn
-		t.arg = evs[i].Arg
-		t.canceled = false
-		s.seq++
 		if bulk {
-			t.index = int32(len(s.heap))
-			s.heap = append(s.heap, t)
+			s.heap = append(s.heap, event{at: evs[i].At, seq: s.seq, fn: evs[i].Fn, arg: evs[i].Arg})
+			s.seq++
 		} else {
-			s.heap.push(t)
+			s.admit(evs[i].At, evs[i].Fn, evs[i].Arg)
 		}
 	}
 	if bulk {
@@ -580,63 +412,29 @@ func (s *Simulator) ScheduleBatch(evs []BatchEvent) {
 	}
 }
 
-// heapNext pops heap nodes until it finds a live one, recycling
-// canceled nodes on the way (this is where lazy deletion pays its
-// debt). Returns nil when the queue holds no live events.
-func (s *Simulator) heapNext() *timer {
-	for len(s.heap) > 0 {
-		t := s.heap.pop()
-		if t.canceled {
-			s.recycle(t)
-			continue
-		}
-		return t
-	}
-	return nil
-}
-
 // Stop makes the current Run/RunUntil call return after the in-flight
 // event completes. Pending events stay queued; a subsequent Run resumes.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// Step fires the single earliest pending event (skipping canceled ones)
-// and advances the clock to it. It reports whether an event fired.
+// Step fires the single earliest pending event and advances the clock
+// to it. It reports whether an event fired.
 func (s *Simulator) Step() bool {
-	var fn Handler
-	var argFn ArgHandler
-	var arg int
+	var e event
 	if s.kind == KernelWheel {
-		e, ok := s.wheelNext()
-		if !ok {
+		if !s.wheelDue() {
 			return false
 		}
-		s.now = e.at
-		if e.t != nil {
-			// Copy the handler out and recycle before invoking: the
-			// node's generation is already bumped, so a Cancel from
-			// inside the handler (cancel-after-fire) is a no-op, and
-			// the handler is free to schedule new events that reuse
-			// the node.
-			fn, argFn, arg = e.t.fn, e.t.argFn, e.t.arg
-			s.recycle(e.t)
-		} else {
-			argFn, arg = e.argFn, e.arg
-		}
+		s.wheel.count--
+		e = s.wheel.due.pop()
 	} else {
-		t := s.heapNext()
-		if t == nil {
+		if len(s.heap) == 0 {
 			return false
 		}
-		s.now = t.at
-		fn, argFn, arg = t.fn, t.argFn, t.arg
-		s.recycle(t)
+		e = s.heap.pop()
 	}
+	s.now = e.at
 	s.fired++
-	if argFn != nil {
-		argFn(arg)
-	} else {
-		fn()
-	}
+	e.fn(e.arg)
 	if m := s.metrics; m != nil {
 		// After the handler, so the depth reflects events it
 		// scheduled.
@@ -670,20 +468,18 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 	}
 }
 
-// peek returns the timestamp of the earliest live event, discarding
-// canceled nodes that surface at the top.
+// peek returns the timestamp of the earliest pending event.
 func (s *Simulator) peek() (time.Duration, bool) {
 	if s.kind == KernelWheel {
-		return s.wheelPeek()
-	}
-	for len(s.heap) > 0 {
-		t := s.heap[0]
-		if !t.canceled {
-			return t.at, true
+		if !s.wheelDue() {
+			return 0, false
 		}
-		s.recycle(s.heap.pop())
+		return s.wheel.due[0].at, true
 	}
-	return 0, false
+	if len(s.heap) == 0 {
+		return 0, false
+	}
+	return s.heap[0].at, true
 }
 
 // MaxTime is the largest representable virtual time, usable as an

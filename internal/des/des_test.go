@@ -6,12 +6,20 @@ import (
 	"time"
 )
 
+// recorder returns a handler that appends its argument to *got.
+func recorder(got *[]int) ArgHandler {
+	return func(arg int) { *got = append(*got, arg) }
+}
+
+func noop(int) {}
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	s := New()
 	var got []int
-	s.Schedule(3*time.Second, func() { got = append(got, 3) })
-	s.Schedule(1*time.Second, func() { got = append(got, 1) })
-	s.Schedule(2*time.Second, func() { got = append(got, 2) })
+	record := recorder(&got)
+	s.Emit(3*time.Second, record, 3)
+	s.Emit(1*time.Second, record, 1)
+	s.Emit(2*time.Second, record, 2)
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -30,9 +38,9 @@ func TestScheduleAndRunOrder(t *testing.T) {
 func TestSimultaneousEventsFIFO(t *testing.T) {
 	s := New()
 	var got []int
+	record := recorder(&got)
 	for i := 0; i < 10; i++ {
-		i := i
-		s.Schedule(time.Second, func() { got = append(got, i) })
+		s.Emit(time.Second, record, i)
 	}
 	s.Run()
 	for i, v := range got {
@@ -45,14 +53,14 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestHandlersScheduleMoreEvents(t *testing.T) {
 	s := New()
 	count := 0
-	var tick Handler
-	tick = func() {
+	var tick ArgHandler
+	tick = func(int) {
 		count++
 		if count < 5 {
-			s.Schedule(time.Second, tick)
+			s.Emit(time.Second, tick, 0)
 		}
 	}
-	s.Schedule(time.Second, tick)
+	s.Emit(time.Second, tick, 0)
 	s.Run()
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
@@ -64,14 +72,15 @@ func TestHandlersScheduleMoreEvents(t *testing.T) {
 
 func TestZeroDelayFiresAfterQueuedSameInstant(t *testing.T) {
 	s := New()
-	var got []string
-	s.Schedule(0, func() {
-		got = append(got, "first")
-		s.Schedule(0, func() { got = append(got, "third") })
-	})
-	s.Schedule(0, func() { got = append(got, "second") })
+	var got []int
+	record := recorder(&got)
+	s.Emit(0, func(int) {
+		record(1)
+		s.Emit(0, record, 3)
+	}, 0)
+	s.Emit(0, record, 2)
 	s.Run()
-	want := []string{"first", "second", "third"}
+	want := []int{1, 2, 3}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
@@ -85,19 +94,19 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New().Schedule(-time.Second, func() {})
+	New().Emit(-time.Second, noop, 0)
 }
 
 func TestScheduleAtPastPanics(t *testing.T) {
 	s := New()
-	s.Schedule(time.Second, func() {})
+	s.Emit(time.Second, noop, 0)
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.ScheduleAt(500*time.Millisecond, func() {})
+	s.EmitAt(500*time.Millisecond, noop, 0)
 }
 
 func TestNilHandlerPanics(t *testing.T) {
@@ -106,42 +115,15 @@ func TestNilHandlerPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New().Schedule(time.Second, nil)
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	timer := s.Schedule(time.Second, func() { fired = true })
-	if !timer.Cancel() {
-		t.Error("first cancel should report true")
-	}
-	if timer.Cancel() {
-		t.Error("second cancel should report false")
-	}
-	s.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-	if s.Fired() != 0 {
-		t.Errorf("fired = %d, want 0", s.Fired())
-	}
-}
-
-func TestCancelAfterFireIsNoop(t *testing.T) {
-	s := New()
-	timer := s.Schedule(time.Second, func() {})
-	s.Run()
-	if timer.Cancel() {
-		t.Error("cancel after fire should report false")
-	}
+	New().Emit(time.Second, nil, 0)
 }
 
 func TestRunUntil(t *testing.T) {
 	s := New()
 	var got []int
-	s.Schedule(1*time.Second, func() { got = append(got, 1) })
-	s.Schedule(5*time.Second, func() { got = append(got, 5) })
+	record := recorder(&got)
+	s.Emit(1*time.Second, record, 1)
+	s.Emit(5*time.Second, record, 5)
 	s.RunUntil(3 * time.Second)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("got %v, want [1]", got)
@@ -162,7 +144,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilInclusiveBoundary(t *testing.T) {
 	s := New()
 	fired := false
-	s.Schedule(2*time.Second, func() { fired = true })
+	s.Emit(2*time.Second, func(int) { fired = true }, 0)
 	s.RunUntil(2 * time.Second)
 	if !fired {
 		t.Error("event exactly at deadline should fire")
@@ -172,8 +154,8 @@ func TestRunUntilInclusiveBoundary(t *testing.T) {
 func TestStopInsideHandler(t *testing.T) {
 	s := New()
 	count := 0
-	s.Schedule(1*time.Second, func() { count++; s.Stop() })
-	s.Schedule(2*time.Second, func() { count++ })
+	s.Emit(1*time.Second, func(int) { count++; s.Stop() }, 0)
+	s.Emit(2*time.Second, func(int) { count++ }, 0)
 	s.Run()
 	if count != 1 {
 		t.Fatalf("count = %d, want 1 (stopped)", count)
@@ -191,43 +173,23 @@ func TestStepOnEmpty(t *testing.T) {
 	}
 }
 
-func TestPeekSkipsCanceled(t *testing.T) {
-	s := New()
-	early := s.Schedule(1*time.Second, func() {})
-	fired := false
-	s.Schedule(5*time.Second, func() { fired = true })
-	early.Cancel()
-	s.RunUntil(10 * time.Second)
-	if !fired {
-		t.Error("later event should fire despite canceled earlier event")
-	}
-}
-
-func TestTimerAt(t *testing.T) {
-	s := New()
-	timer := s.Schedule(90*time.Minute, func() {})
-	if timer.At() != 90*time.Minute {
-		t.Errorf("At = %v", timer.At())
-	}
-}
-
 func TestManyEventsHeapStress(t *testing.T) {
 	s := New()
 	const n = 20000
 	var fired int
 	lastTime := time.Duration(-1)
+	check := func(int) {
+		if s.Now() < lastTime {
+			t.Error("clock went backwards")
+		}
+		lastTime = s.Now()
+		fired++
+	}
 	// Pseudo-random but deterministic delays via a tiny LCG.
 	state := uint64(12345)
 	for i := 0; i < n; i++ {
 		state = state*6364136223846793005 + 1442695040888963407
-		delay := time.Duration(state % uint64(10*time.Second))
-		s.Schedule(delay, func() {
-			if s.Now() < lastTime {
-				t.Error("clock went backwards")
-			}
-			lastTime = s.Now()
-			fired++
-		})
+		s.Emit(time.Duration(state%uint64(10*time.Second)), check, i)
 	}
 	s.Run()
 	if fired != n {
@@ -238,10 +200,10 @@ func TestManyEventsHeapStress(t *testing.T) {
 func TestScheduleArgOrderAndValues(t *testing.T) {
 	s := New()
 	var got []int
-	record := func(arg int) { got = append(got, arg) }
-	s.ScheduleArg(3*time.Second, record, 3)
-	s.ScheduleArg(1*time.Second, record, 1)
-	s.ScheduleArg(2*time.Second, record, 2)
+	record := recorder(&got)
+	s.EmitAt(3*time.Second, record, 3)
+	s.EmitAt(1*time.Second, record, 1)
+	s.EmitAt(2*time.Second, record, 2)
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -251,137 +213,32 @@ func TestScheduleArgOrderAndValues(t *testing.T) {
 	}
 }
 
-func TestScheduleArgInterleavesWithClosures(t *testing.T) {
-	// Mixed forms share one (time, seq) order.
-	s := New()
-	var got []string
-	s.Schedule(time.Second, func() { got = append(got, "closure") })
-	s.ScheduleArg(time.Second, func(int) { got = append(got, "arg") }, 0)
-	s.Run()
-	if len(got) != 2 || got[0] != "closure" || got[1] != "arg" {
-		t.Fatalf("order = %v, want [closure arg]", got)
-	}
-}
-
 func TestScheduleArgNilHandlerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	New().ScheduleArg(time.Second, nil, 0)
-}
-
-func TestCancelAfterFireOnRecycledNodeIsInert(t *testing.T) {
-	// The reuse-generation contract: after a timer fires, its node goes
-	// back to the pool and may be handed to a brand-new event. A Cancel
-	// through the stale handle must not touch the new event.
-	s := New()
-	stale := s.Schedule(time.Second, func() {})
-	s.Run()
-
-	// The pool now holds exactly the fired node; the next Schedule
-	// reuses it.
-	fired := false
-	fresh := s.Schedule(time.Second, func() { fired = true })
-	if stale.Cancel() {
-		t.Error("stale handle canceled something")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("stale Cancel killed the recycled node's new event")
-	}
-	_ = fresh
-}
-
-func TestCancelInsideOwnHandlerIsNoop(t *testing.T) {
-	// Cancel-after-fire from within the handler itself: by the time the
-	// handler runs, the node's generation has advanced, so the handle is
-	// stale.
-	s := New()
-	var timer Timer
-	canceled := true
-	timer = s.Schedule(time.Second, func() {
-		canceled = timer.Cancel()
-	})
-	s.Run()
-	if canceled {
-		t.Error("Cancel inside own handler reported true")
-	}
-}
-
-func TestDoubleCancelAcrossReuse(t *testing.T) {
-	s := New()
-	timer := s.Schedule(time.Second, func() {})
-	if !timer.Cancel() {
-		t.Fatal("first cancel should succeed")
-	}
-	if timer.Cancel() {
-		t.Fatal("second cancel should be a no-op")
-	}
-	// Drain: the canceled node is lazily discarded and recycled.
-	s.Run()
-	if s.Fired() != 0 {
-		t.Fatalf("fired = %d, want 0", s.Fired())
-	}
-	// The recycled node backs a new event; the old handle stays inert.
-	fired := false
-	s.Schedule(time.Second, func() { fired = true })
-	if timer.Cancel() {
-		t.Error("stale handle canceled the recycled node's event")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("recycled event did not fire")
-	}
-}
-
-func TestZeroTimerCancelIsSafe(t *testing.T) {
-	var timer Timer
-	if timer.Cancel() {
-		t.Error("zero-value timer canceled something")
-	}
-}
-
-func TestLazyDeletionRecyclesCanceledNodes(t *testing.T) {
-	// Canceled timers stay queued (Pending counts them) until they
-	// surface at the heap top, then get recycled instead of fired.
-	s := New()
-	var timers []Timer
-	for i := 0; i < 100; i++ {
-		timers = append(timers, s.Schedule(time.Duration(i)*time.Second, func() {}))
-	}
-	for _, tm := range timers[:50] {
-		tm.Cancel()
-	}
-	if s.Pending() != 100 {
-		t.Fatalf("pending = %d, want 100 (lazy deletion keeps canceled nodes queued)", s.Pending())
-	}
-	s.Run()
-	if s.Fired() != 50 {
-		t.Fatalf("fired = %d, want 50", s.Fired())
-	}
+	New().EmitAt(time.Second, nil, 0)
 }
 
 func TestResetReusesPool(t *testing.T) {
 	s := New()
-	pendingTimer := s.Schedule(time.Hour, func() {})
-	s.Schedule(time.Second, func() {})
+	s.Emit(time.Hour, noop, 0)
+	s.Emit(time.Second, func(int) { s.Stop() }, 0)
 	s.Run()
-	s.Stop()
 
 	s.Reset()
 	if s.Now() != 0 || s.Fired() != 0 || s.Pending() != 0 {
 		t.Fatalf("after Reset: now=%v fired=%d pending=%d, want zeros",
 			s.Now(), s.Fired(), s.Pending())
 	}
-	if pendingTimer.Cancel() {
-		t.Error("handle from before Reset canceled something")
-	}
-	// The simulator is fully usable again and replays identically.
+	// The simulator is fully usable again and replays identically; the
+	// event pending at Reset is gone.
 	var got []int
-	s.ScheduleArg(2*time.Second, func(a int) { got = append(got, a) }, 2)
-	s.ScheduleArg(1*time.Second, func(a int) { got = append(got, a) }, 1)
+	record := recorder(&got)
+	s.Emit(2*time.Second, record, 2)
+	s.Emit(1*time.Second, record, 1)
 	s.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("after Reset run order = %v, want [1 2]", got)
@@ -392,20 +249,17 @@ func TestResetReusesPool(t *testing.T) {
 }
 
 func TestSteadyStateChurnDoesNotAllocate(t *testing.T) {
-	// The zero-allocation claim, pinned: once the pool is primed, the
-	// schedule→fire cycle with the ArgHandler form performs no heap
+	// The zero-allocation claim, pinned: once the queue has grown to
+	// its working size, the admit→fire cycle performs no heap
 	// allocation at all.
 	s := New()
-	tick := func(int) {}
 	var reschedule ArgHandler
 	reschedule = func(arg int) {
-		tick(arg)
-		s.ScheduleArg(time.Millisecond, reschedule, arg)
+		s.Emit(time.Millisecond, reschedule, arg)
 	}
 	for i := 0; i < 8; i++ {
-		s.ScheduleArg(time.Duration(i)*time.Microsecond, reschedule, i)
+		s.Emit(time.Duration(i)*time.Microsecond, reschedule, i)
 	}
-	// Prime the pool and the heap slab.
 	for i := 0; i < 1024; i++ {
 		s.Step()
 	}
@@ -418,47 +272,70 @@ func TestSteadyStateChurnDoesNotAllocate(t *testing.T) {
 }
 
 func TestHeapStressWithRandomCancels(t *testing.T) {
-	// Deterministic stress mixing schedules, cancels and fires; checks
-	// the hand-rolled heap preserves (time, seq) order throughout.
+	// Deterministic stress interleaving admissions and fires at random;
+	// checks the hand-rolled heap preserves (time, seq) order
+	// throughout, across exact ties, far-future events, RunUntil
+	// slices and a Reset.
 	s := New()
 	state := uint64(99)
 	rand := func(n uint64) uint64 {
 		state = state*6364136223846793005 + 1442695040888963407
 		return (state >> 33) % n
 	}
-	var fired, canceled int
-	lastTime := time.Duration(-1)
-	var live []Timer
-	for i := 0; i < 5000; i++ {
-		delay := time.Duration(rand(uint64(10 * time.Second)))
-		live = append(live, s.Schedule(delay, func() {
-			if s.Now() < lastTime {
-				t.Error("clock went backwards")
-			}
-			lastTime = s.Now()
-			fired++
-		}))
-		if rand(3) == 0 {
-			victim := rand(uint64(len(live)))
-			if live[victim].Cancel() {
-				canceled++
-			}
+	var fired int
+	var last event
+	check := func(arg int) {
+		cur := event{at: s.Now(), seq: uint64(arg)}
+		if fired > 0 && less(cur, last) {
+			t.Fatalf("event %d at %v fired after event %d at %v", arg, cur.at, last.seq, last.at)
 		}
-		if rand(7) == 0 {
-			s.Step()
+		last = cur
+		fired++
+	}
+	admitted := 0
+	load := func(n int) {
+		for i := 0; i < n; i++ {
+			var at time.Duration
+			switch rand(8) {
+			case 0: // far future
+				at = s.Now() + time.Duration(1+rand(100))*time.Hour*24*365
+			case 1: // exact ties
+				at = s.Now() + time.Duration(rand(3))*time.Second
+			default:
+				at = s.Now() + time.Duration(rand(uint64(10*time.Second)))
+			}
+			// The argument is the admission index, which orders ties.
+			s.EmitAt(at, check, admitted)
+			admitted++
+			if rand(7) == 0 {
+				s.Step()
+			}
 		}
 	}
+	load(5000)
+	s.RunUntil(5 * time.Second)
+	load(2000)
 	s.Run()
-	if fired+canceled != 5000 {
-		t.Fatalf("fired %d + canceled %d = %d, want 5000", fired, canceled, fired+canceled)
+	if fired != admitted {
+		t.Fatalf("fired %d of %d", fired, admitted)
+	}
+	load(1000)
+	s.Reset()
+	fired, admitted = 0, 0
+	load(1000)
+	s.Run()
+	if fired != admitted {
+		t.Fatalf("after Reset fired %d of %d", fired, admitted)
 	}
 }
 
+// BenchmarkScheduleRun admits 1000 events on a fresh heap-backed
+// simulator through one shared handler and drains them.
 func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		for j := 0; j < 1000; j++ {
-			s.Schedule(time.Duration(j)*time.Millisecond, func() {})
+			s.EmitAt(time.Duration(j)*time.Millisecond, noop, j)
 		}
 		s.Run()
 	}
@@ -515,10 +392,10 @@ func benchChurn(b *testing.B, kind Kind, pending int) {
 		}
 		s.ScheduleBatch(evs)
 	}
-	// Warm the node pool and the wheel's due heap to steady state, then
-	// let the GC finish marking the node arena so the measured loop
-	// (which allocates nothing) isn't sharing the core with a
-	// concurrent mark of 10M nodes triggered by the seeding phase.
+	// Warm the queues to steady state, then let the GC finish marking
+	// the seeded queue so the measured loop (which allocates nothing)
+	// isn't sharing the core with a concurrent mark of 10M records
+	// triggered by the seeding phase.
 	for i := 0; i < 10_000; i++ {
 		if !s.Step() {
 			b.Fatal("queue drained during warm-up")

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -12,7 +11,7 @@ import (
 // A simulation checkpoint must capture the pending-event set so a
 // restored kernel reproduces the exact (time, seq) fire order. Rather
 // than serializing backend internals (heap arrays, wheel buckets,
-// occupancy bitmaps), ExportPending flattens the live events of either
+// occupancy bitmaps), ExportPending flattens the pending events of either
 // backend into one canonical (at, seq)-sorted slice, and Restore
 // re-admits such a slice through the ScheduleBatch path. Sequence
 // numbers need not survive the round trip: ScheduleBatch assigns fresh
@@ -23,100 +22,45 @@ import (
 // That is what makes the export format kernel-neutral: a heap
 // checkpoint restores onto a wheel (and vice versa) bit-identically.
 
-// ExportedEvent is one pending event in canonical exported form.
-// Only argument-form events (ScheduleArg/Emit/ScheduleBatch) are
-// exportable: the Fn value must be mapped to a serializable identity
-// by the caller, which owns the (small, fixed) set of handler
-// functions it schedules with.
+// ExportedEvent is one pending event in canonical exported form. The
+// Fn value must be mapped to a serializable identity by the caller,
+// which owns the (small, fixed) set of handler functions it schedules
+// with.
 type ExportedEvent struct {
 	At  time.Duration
 	Fn  ArgHandler
 	Arg int
 }
 
-// ErrUnexportable reports a pending closure-form event (the Schedule/
-// ScheduleAt family): a captured closure has no serializable identity,
-// so a simulation that wants checkpointing must schedule exclusively
-// through the argument forms.
-var ErrUnexportable = errors.New("des: pending closure-form event cannot be exported")
-
-// ExportPending returns every live pending event in (at, seq) fire
-// order — the canonical kernel-neutral checkpoint of the queue.
-// Canceled events are skipped (they would never fire); a pending
-// closure-form event returns ErrUnexportable.
-func (s *Simulator) ExportPending() ([]ExportedEvent, error) {
-	type keyed struct {
-		at  time.Duration
-		seq uint64
-		fn  ArgHandler
-		arg int
-	}
-	evs := make([]keyed, 0, s.Pending())
-	add := func(at time.Duration, seq uint64, fn Handler, argFn ArgHandler, arg int) error {
-		if fn != nil {
-			return fmt.Errorf("%w (at %v)", ErrUnexportable, at)
-		}
-		evs = append(evs, keyed{at: at, seq: seq, fn: argFn, arg: arg})
-		return nil
-	}
+// ExportPending returns every pending event in (at, seq) fire order —
+// the canonical kernel-neutral checkpoint of the queue.
+func (s *Simulator) ExportPending() []ExportedEvent {
+	evs := make([]event, 0, s.Pending())
 	if s.kind == KernelWheel {
 		w := &s.wheel
-		entry := func(e wheelEntry) error {
-			if e.t != nil {
-				if e.t.canceled {
-					return nil
-				}
-				return add(e.at, e.seq, e.t.fn, e.t.argFn, e.t.arg)
-			}
-			return add(e.at, e.seq, nil, e.argFn, e.arg)
-		}
-		for _, e := range w.due {
-			if err := entry(e); err != nil {
-				return nil, err
-			}
-		}
-		for _, e := range w.overflow {
-			if err := entry(e); err != nil {
-				return nil, err
-			}
-		}
+		evs = append(evs, w.due...)
+		evs = append(evs, w.overflow...)
 		for _, c := range w.slots {
 			for ; c != nil; c = c.next {
-				for i := int32(0); i < c.n; i++ {
-					if err := entry(c.evs[i]); err != nil {
-						return nil, err
-					}
-				}
+				evs = append(evs, c.evs[:c.n]...)
 			}
 		}
 	} else {
-		for _, t := range s.heap {
-			if t.canceled {
-				continue
-			}
-			if err := add(t.at, t.seq, t.fn, t.argFn, t.arg); err != nil {
-				return nil, err
-			}
-		}
+		evs = append(evs, s.heap...)
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		return evs[i].seq < evs[j].seq
-	})
+	sort.Slice(evs, func(i, j int) bool { return less(evs[i], evs[j]) })
 	out := make([]ExportedEvent, len(evs))
 	for i, e := range evs {
 		out[i] = ExportedEvent{At: e.at, Fn: e.fn, Arg: e.arg}
 	}
-	return out, nil
+	return out
 }
 
 // Restore reinitializes the simulator to a checkpointed position: clock
 // at now, fired events executed so far, and the given pending set
 // (canonically ordered or not — ScheduleBatch order only needs to match
 // the exported order for bit-identical continuation). The kernel
-// configuration (Configure) is unchanged; the node pool is retained.
+// configuration (Configure) is unchanged; queue capacities are retained.
 func (s *Simulator) Restore(now time.Duration, fired uint64, evs []BatchEvent) {
 	if now < 0 {
 		panic(fmt.Sprintf("des: restore to negative time %v", now))
@@ -130,7 +74,7 @@ func (s *Simulator) Restore(now time.Duration, fired uint64, evs []BatchEvent) {
 	s.ScheduleBatch(evs)
 }
 
-// NextEventAt reports the timestamp of the earliest live pending event;
+// NextEventAt reports the timestamp of the earliest pending event;
 // ok is false when the queue holds none. It is the public peek used by
 // checkpoint-driven run loops to find cut points between events.
 func (s *Simulator) NextEventAt() (at time.Duration, ok bool) {

@@ -13,7 +13,7 @@ func TestInstrumentCountsEventsAndDepth(t *testing.T) {
 	s.Instrument(reg)
 
 	for i := 0; i < 5; i++ {
-		s.Schedule(time.Duration(i)*time.Second, func() {})
+		s.Emit(time.Duration(i)*time.Second, noop, i)
 	}
 	if v, _ := reg.Snapshot().Value("des_queue_depth"); v != 0 {
 		// Depth updates per Step; before any step it holds the value at
@@ -48,10 +48,10 @@ func TestInstrumentSeesHandlerScheduledEvents(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
 
-	s.Schedule(0, func() {
-		s.Schedule(time.Second, func() {})
-		s.Schedule(2*time.Second, func() {})
-	})
+	s.Emit(0, func(int) {
+		s.Emit(time.Second, noop, 0)
+		s.Emit(2*time.Second, noop, 0)
+	}, 0)
 	s.Step()
 	if v, _ := reg.Snapshot().Value("des_queue_depth"); v != 2 {
 		t.Errorf("depth after fan-out handler = %v, want 2", v)
@@ -60,7 +60,7 @@ func TestInstrumentSeesHandlerScheduledEvents(t *testing.T) {
 
 func TestUninstrumentedSimulatorRegistersNothing(t *testing.T) {
 	s := New()
-	s.Schedule(0, func() {})
+	s.Emit(0, noop, 0)
 	s.Run() // must not panic without instruments
 	if s.Fired() != 1 {
 		t.Errorf("Fired = %d, want 1", s.Fired())

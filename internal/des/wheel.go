@@ -1,9 +1,6 @@
 package des
 
-import (
-	"math/bits"
-	"time"
-)
+import "math/bits"
 
 // Hierarchical timing wheel backend (DESIGN.md §14).
 //
@@ -17,16 +14,15 @@ import (
 // millions of ticks out) sits one level up and cascades once; 6-bit
 // levels would touch it three or four times.
 //
-// Buckets are chunked arrays of compact (at, seq, node) records, not
-// intrusive node lists. The distinction is what the memory system
-// sees: draining a linked list is one dependent cache-miss load per
-// event — each next pointer lives in the node it points from, so the
-// misses serialize — while draining a record array is a sequential
-// stream the hardware prefetcher pipelines. Carrying (at, seq) in the
-// record means a cascade re-files an event without touching its node
-// at all; the node is dereferenced exactly once, at fire time. Chunks
-// come from a per-simulator free list, so the steady state allocates
-// nothing.
+// Buckets are chunked arrays of event records (des.go), not intrusive
+// node lists. The distinction is what the memory system sees: draining
+// a linked list is one dependent cache-miss load per event — each next
+// pointer lives in the node it points from, so the misses serialize —
+// while draining a record array is a sequential stream the hardware
+// prefetcher pipelines. A record carries its (at, seq) key and its
+// handler inline, so a cascade re-files an event by copying 32 bytes
+// and firing reads nothing but the record. Chunks come from a
+// per-simulator free list, so the steady state allocates nothing.
 //
 // Placement is the XOR variant: a pending tick T with current tick cur
 // lives at level (bits.Len64(T^cur)-1)/12 — the level of the highest
@@ -71,87 +67,10 @@ const (
 	wheelLevels    = 4
 	wheelBitWords  = wheelSlots / 64
 	// wheelChunkCap sizes a bucket chunk: 50 records keep a chunk at
-	// ~2KB — big enough that drains stream long runs, small enough
+	// ~1.6KB — big enough that drains stream long runs, small enough
 	// that a mostly-empty bucket wastes little.
 	wheelChunkCap = 50
 )
-
-// wheelEntry is one queued event as the wheel files it: the ordering
-// key inline (so cascades and heap sifts never dereference a node),
-// and the payload in one of two forms. Fire-and-forget events
-// (Emit/EmitAt/ScheduleBatch) carry their handler inline with t == nil
-// — no node exists and firing touches nothing but the record itself.
-// Cancellable events (the Schedule family, which returns a Timer) set
-// t, dereferenced exactly once, at fire time.
-type wheelEntry struct {
-	at    time.Duration
-	seq   uint64
-	argFn ArgHandler // inline payload (t == nil)
-	arg   int
-	t     *timer // cancellable / closure-form events
-}
-
-// entryLess orders records by (at, seq) — the same strict total order
-// the reference heap uses (see less).
-func entryLess(a, b wheelEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// entryHeap is a binary min-heap of records ordered by (at, seq). The
-// sift paths compare inline keys — no node dereference — so heap
-// operations never miss on cold timer nodes.
-type entryHeap []wheelEntry
-
-// push appends e and restores the heap invariant (sift-up).
-func (h *entryHeap) push(e wheelEntry) {
-	s := *h
-	i := len(s)
-	s = append(s, e)
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !entryLess(e, s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = e
-	*h = s
-}
-
-// pop removes and returns the heap's minimum record (sift-down).
-func (h *entryHeap) pop() wheelEntry {
-	s := *h
-	root := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s[n] = wheelEntry{} // drop the node reference
-	s = s[:n]
-	*h = s
-	if n > 0 {
-		i := 0
-		for {
-			left := 2*i + 1
-			if left >= n {
-				break
-			}
-			child := left
-			if right := left + 1; right < n && entryLess(s[right], s[left]) {
-				child = right
-			}
-			if !entryLess(s[child], last) {
-				break
-			}
-			s[i] = s[child]
-			i = child
-		}
-		s[i] = last
-	}
-	return root
-}
 
 // wheelChunk is one segment of a bucket: a fixed record array plus the
 // link to the bucket's older chunks. Chunks recycle through the
@@ -159,7 +78,7 @@ func (h *entryHeap) pop() wheelEntry {
 type wheelChunk struct {
 	next *wheelChunk
 	n    int32
-	evs  [wheelChunkCap]wheelEntry
+	evs  [wheelChunkCap]event
 }
 
 // wheelState is the per-Simulator wheel storage: a flat bucket-head
@@ -173,8 +92,8 @@ type wheelState struct {
 	// slots holds the bucket chunk heads, level-major:
 	// slots[level*wheelSlots+slot].
 	slots      []*wheelChunk
-	due        entryHeap // events with tick <= cur, ordered (at, seq)
-	overflow   entryHeap // events beyond the 48-bit tick horizon
+	due        eventHeap // events with tick <= cur, ordered (at, seq)
+	overflow   eventHeap // events beyond the 48-bit tick horizon
 	count      int       // total queued events (due + slots + overflow)
 	freeChunks *wheelChunk
 }
@@ -199,9 +118,8 @@ func (s *Simulator) chunkAlloc() *wheelChunk {
 	return new(wheelChunk)
 }
 
-// chunkFree recycles a drained chunk. Its records are left in place —
-// they only reference pooled nodes the simulator retains anyway — and
-// are overwritten on reuse.
+// chunkFree recycles a drained chunk. Its records are left in place
+// and are overwritten on reuse.
 func (s *Simulator) chunkFree(c *wheelChunk) {
 	w := &s.wheel
 	c.n = 0
@@ -209,16 +127,10 @@ func (s *Simulator) chunkFree(c *wheelChunk) {
 	w.freeChunks = c
 }
 
-// wheelInsert admits a freshly scheduled node.
-func (s *Simulator) wheelInsert(t *timer) {
-	s.wheel.count++
-	s.wheelPlace(wheelEntry{at: t.at, seq: t.seq, t: t})
-}
-
 // wheelPlace files a record by its tick distance from cur: due heap
 // for the present, a wheel bucket inside the horizon, overflow heap
 // beyond it. Count-neutral, so the advance cascade reuses it.
-func (s *Simulator) wheelPlace(e wheelEntry) {
+func (s *Simulator) wheelPlace(e event) {
 	w := &s.wheel
 	tick := uint64(e.at) >> s.tickShift
 	if tick <= w.cur {
@@ -320,84 +232,38 @@ func (s *Simulator) wheelAdvance() bool {
 	return true
 }
 
-// wheelNext pops the earliest live event's record, recycling canceled
-// nodes lazily; ok is false when nothing live remains.
-func (s *Simulator) wheelNext() (e wheelEntry, ok bool) {
-	w := &s.wheel
-	for {
-		for len(w.due) > 0 {
-			e := w.due.pop()
-			w.count--
-			if e.t != nil && e.t.canceled {
-				s.recycle(e.t)
-				continue
-			}
-			return e, true
-		}
+// wheelDue cascades buckets until the due heap holds the earliest
+// pending event; it reports false when nothing is pending.
+func (s *Simulator) wheelDue() bool {
+	for len(s.wheel.due) == 0 {
 		if !s.wheelAdvance() {
-			return wheelEntry{}, false
+			return false
 		}
 	}
+	return true
 }
 
-// wheelPeek reports the earliest live event's timestamp, discarding
-// canceled nodes that surface and cascading buckets as needed.
-func (s *Simulator) wheelPeek() (time.Duration, bool) {
-	w := &s.wheel
-	for {
-		for len(w.due) > 0 {
-			e := w.due[0]
-			if e.t == nil || !e.t.canceled {
-				return e.at, true
-			}
-			w.due.pop()
-			w.count--
-			s.recycle(e.t)
-		}
-		if !s.wheelAdvance() {
-			return 0, false
-		}
-	}
-}
-
-// wheelReset drains every wheel structure back into the node and chunk
-// pools and rewinds the clock window, keeping capacities for reuse.
+// wheelReset drains every wheel structure back into the chunk pool and
+// rewinds the clock window, keeping capacities for reuse.
 func (s *Simulator) wheelReset() {
 	w := &s.wheel
-	if w.count > 0 {
-		for level := 0; level < wheelLevels; level++ {
-			for w.summary[level] != 0 {
-				word := bits.TrailingZeros64(w.summary[level])
-				bw := w.bitmap[level][word]
-				for bw != 0 {
-					slot := uint64(word)<<6 + uint64(bits.TrailingZeros64(bw))
-					bw &= bw - 1
-					idx := level*wheelSlots + int(slot)
-					for c := w.slots[idx]; c != nil; {
-						for i := int32(0); i < c.n; i++ {
-							if t := c.evs[i].t; t != nil {
-								s.recycle(t)
-							}
-						}
-						next := c.next
-						s.chunkFree(c)
-						c = next
-					}
-					w.slots[idx] = nil
+	for level := 0; level < wheelLevels; level++ {
+		for w.summary[level] != 0 {
+			word := bits.TrailingZeros64(w.summary[level])
+			bw := w.bitmap[level][word]
+			for bw != 0 {
+				slot := uint64(word)<<6 + uint64(bits.TrailingZeros64(bw))
+				bw &= bw - 1
+				idx := level*wheelSlots + int(slot)
+				for c := w.slots[idx]; c != nil; {
+					next := c.next
+					s.chunkFree(c)
+					c = next
 				}
-				w.bitmap[level][word] = 0
-				w.summary[level] &^= 1 << word
+				w.slots[idx] = nil
 			}
-		}
-		for _, e := range w.due {
-			if e.t != nil {
-				s.recycle(e.t)
-			}
-		}
-		for _, e := range w.overflow {
-			if e.t != nil {
-				s.recycle(e.t)
-			}
+			w.bitmap[level][word] = 0
+			w.summary[level] &^= 1 << word
 		}
 	}
 	w.due = w.due[:0]

@@ -40,7 +40,7 @@ func TestParseKind(t *testing.T) {
 
 func TestConfigureRejectsPendingEvents(t *testing.T) {
 	s := New()
-	s.Schedule(time.Second, func() {})
+	s.Emit(time.Second, noop, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Configure with pending events did not panic")
@@ -68,11 +68,11 @@ func TestWheelTickRoundsDownToPowerOfTwo(t *testing.T) {
 func TestWheelOrderWithinBucket(t *testing.T) {
 	s := newWheel(time.Millisecond) // all events below share buckets
 	var got []int
+	record := recorder(&got)
 	// Scrambled times within a handful of ticks, several exact ties.
 	delays := []time.Duration{700, 100, 400, 100, 900, 400, 50, 700}
 	for i, d := range delays {
-		i := i
-		s.Schedule(d*time.Microsecond, func() { got = append(got, i) })
+		s.Emit(d*time.Microsecond, record, i)
 	}
 	s.Run()
 	want := []int{6, 1, 3, 2, 5, 0, 7, 4} // by (at, insertion order)
@@ -87,12 +87,13 @@ func TestWheelOrderWithinBucket(t *testing.T) {
 func TestWheelFarFutureOverflow(t *testing.T) {
 	s := newWheel(time.Nanosecond) // shift 0: 2^48 ns horizon ≈ 3.2 days
 	far := 10 * 24 * time.Hour     // well past the horizon
-	var got []string
-	s.ScheduleAt(far+time.Hour, func() { got = append(got, "far+1h") })
-	s.ScheduleAt(time.Second, func() { got = append(got, "near") })
-	s.ScheduleAt(far, func() { got = append(got, "far") })
+	var got []int
+	record := recorder(&got)
+	s.EmitAt(far+time.Hour, record, 3)
+	s.EmitAt(time.Second, record, 1)
+	s.EmitAt(far, record, 2)
 	s.Run()
-	if fmt.Sprint(got) != "[near far far+1h]" {
+	if fmt.Sprint(got) != "[1 2 3]" {
 		t.Fatalf("fire order = %v", got)
 	}
 	if s.Now() != far+time.Hour {
@@ -100,52 +101,25 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	}
 }
 
-// TestWheelCancelLazyDeletion cancels events resident in buckets, the
-// due heap, and the overflow heap; none may fire, and stale handles
-// must stay inert after node reuse.
-func TestWheelCancelLazyDeletion(t *testing.T) {
-	s := newWheel(time.Microsecond)
-	fired := map[string]bool{}
-	keep := s.Schedule(5*time.Millisecond, func() { fired["keep"] = true })
-	bucket := s.Schedule(5*time.Millisecond+200*time.Nanosecond, func() { fired["bucket"] = true })
-	over := s.ScheduleAt(MaxTime/2, func() { fired["overflow"] = true })
-	if !bucket.Cancel() || !over.Cancel() {
-		t.Fatal("cancel of pending events reported false")
-	}
-	if bucket.Cancel() {
-		t.Fatal("double cancel reported true")
-	}
-	s.RunUntil(6 * time.Millisecond)
-	if !fired["keep"] || fired["bucket"] {
-		t.Fatalf("fired = %v", fired)
-	}
-	if keep.Cancel() {
-		t.Fatal("cancel after fire reported true")
-	}
-	s.Run()
-	if fired["overflow"] {
-		t.Fatal("canceled overflow event fired")
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
-	}
-}
-
 // TestWheelResetRecyclesNodes loads every wheel structure, resets, and
-// verifies the simulator is reusable with the pool intact.
+// verifies the simulator is reusable with its chunks returned to the
+// pool.
 func TestWheelResetRecyclesNodes(t *testing.T) {
 	s := newWheel(time.Microsecond)
 	for i := 0; i < 100; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		s.Emit(time.Duration(i)*time.Millisecond, noop, i)
 	}
-	s.ScheduleAt(MaxTime/2, func() {}) // overflow resident
-	s.Step()                           // populate the due heap mid-flight
+	s.EmitAt(MaxTime/2, noop, 0) // overflow resident
+	s.Step()                     // populate the due heap mid-flight
 	s.Reset()
 	if s.Pending() != 0 || s.Now() != 0 || s.Fired() != 0 {
 		t.Fatalf("Reset left pending=%d now=%v fired=%d", s.Pending(), s.Now(), s.Fired())
 	}
+	if s.wheel.freeChunks == nil {
+		t.Fatal("Reset did not return bucket chunks to the pool")
+	}
 	n := 0
-	s.Schedule(time.Second, func() { n++ })
+	s.Emit(time.Second, func(int) { n++ }, 0)
 	s.Run()
 	if n != 1 {
 		t.Fatalf("post-Reset run fired %d events, want 1", n)
@@ -153,22 +127,21 @@ func TestWheelResetRecyclesNodes(t *testing.T) {
 }
 
 // TestWheelSteadyStateChurnDoesNotAllocate mirrors the heap's
-// zero-alloc guarantee: a self-rescheduling chain on the wheel backend
-// must run allocation-free once the pool and heaps are warm.
+// zero-alloc guarantee: a self-rescheduling chain on the wheel backend,
+// drained to empty and restarted, must run allocation-free once the
+// chunk pool and heaps are warm.
 func TestWheelSteadyStateChurnDoesNotAllocate(t *testing.T) {
 	s := newWheel(time.Microsecond)
-	var chain func()
-	n := 0
-	chain = func() {
-		if n++; n < 100 {
-			s.Schedule(37*time.Microsecond, chain)
+	var chain ArgHandler
+	chain = func(n int) {
+		if n < 100 {
+			s.Emit(37*time.Microsecond, chain, n+1)
 		}
 	}
-	s.Schedule(time.Microsecond, chain)
-	s.Run() // warm the pool and due heap
+	s.Emit(time.Microsecond, chain, 0)
+	s.Run() // warm the chunk pool and due heap
 	allocs := testing.AllocsPerRun(50, func() {
-		n = 0
-		s.Schedule(time.Microsecond, chain)
+		s.Emit(time.Microsecond, chain, 0)
 		s.Run()
 	})
 	if allocs != 0 {
@@ -177,7 +150,7 @@ func TestWheelSteadyStateChurnDoesNotAllocate(t *testing.T) {
 }
 
 // TestScheduleBatchMatchesSequential verifies that batch admission
-// fires byte-identically to a loop of ScheduleArgAt on both backends,
+// fires byte-identically to a loop of EmitAt on both backends,
 // including bulk-heapify (batch larger than the standing queue) and
 // incremental (small top-up) paths.
 func TestScheduleBatchMatchesSequential(t *testing.T) {
@@ -205,11 +178,10 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 			seqEvs := mkEvents(200, &seqOrder)
 			seq := NewWithConfig(Config{Kernel: kind, WheelTick: time.Microsecond})
 			for i := 0; i < standing; i++ {
-				seq.ScheduleAt(time.Duration(next(1_000_000))*time.Microsecond,
-					func() {})
+				seq.EmitAt(time.Duration(next(1_000_000))*time.Microsecond, noop, 0)
 			}
 			for _, ev := range seqEvs {
-				seq.ScheduleArgAt(ev.At, ev.Fn, ev.Arg)
+				seq.EmitAt(ev.At, ev.Fn, ev.Arg)
 			}
 			seq.Run()
 
@@ -217,8 +189,7 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 			batchEvs := mkEvents(200, &batchOrder)
 			bat := NewWithConfig(Config{Kernel: kind, WheelTick: time.Microsecond})
 			for i := 0; i < standing; i++ {
-				bat.ScheduleAt(time.Duration(next(1_000_000))*time.Microsecond,
-					func() {})
+				bat.EmitAt(time.Duration(next(1_000_000))*time.Microsecond, noop, 0)
 			}
 			bat.ScheduleBatch(batchEvs)
 			bat.Run()
@@ -246,26 +217,28 @@ func TestScheduleBatchValidates(t *testing.T) {
 		s.ScheduleBatch([]BatchEvent{{At: time.Second}})
 	})
 	s2 := New()
-	s2.Schedule(time.Second, func() {})
+	s2.Emit(time.Second, noop, 0)
 	s2.Run()
 	mustPanic("past event", func() {
 		s2.ScheduleBatch([]BatchEvent{{At: time.Millisecond, Fn: func(int) {}}})
 	})
 }
 
-// TestEmitInterleavesWithSchedule pins Emit's ordering contract on
-// both backends: fire-and-forget events take sequence numbers from the
-// same counter as Schedule's, so ties at one instant fire in admission
-// order regardless of which form admitted them.
+// TestEmitInterleavesWithSchedule pins the ordering contract across
+// admission forms on both backends: Emit, EmitAt and ScheduleBatch
+// take sequence numbers from one counter, so ties at one instant fire
+// in admission order regardless of which form admitted them, even
+// when each form uses its own handler.
 func TestEmitInterleavesWithSchedule(t *testing.T) {
 	for _, kind := range []Kind{KernelHeap, KernelWheel} {
 		s := NewWithConfig(Config{Kernel: kind, WheelTick: time.Microsecond})
 		var order []int
-		fn := func(arg int) { order = append(order, arg) }
+		fn := recorder(&order)
+		other := func(arg int) { order = append(order, arg) }
 		s.Emit(time.Millisecond, fn, 0)
-		s.ScheduleArg(time.Millisecond, fn, 1)
-		s.Emit(time.Millisecond, fn, 2)
-		s.Schedule(time.Millisecond, func() { order = append(order, 3) })
+		s.EmitAt(time.Millisecond, other, 1)
+		s.ScheduleBatch([]BatchEvent{{At: time.Millisecond, Fn: fn, Arg: 2}})
+		s.Emit(time.Millisecond, other, 3)
 		s.Emit(0, fn, 4) // immediate, still after nothing queued at t=0
 		s.Run()
 		want := []int{4, 0, 1, 2, 3}
@@ -275,7 +248,8 @@ func TestEmitInterleavesWithSchedule(t *testing.T) {
 	}
 }
 
-// TestEmitValidates pins Emit's argument checking to Schedule's.
+// TestEmitValidates pins Emit and EmitAt argument checking on both
+// backends.
 func TestEmitValidates(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -289,17 +263,16 @@ func TestEmitValidates(t *testing.T) {
 	for _, kind := range []Kind{KernelHeap, KernelWheel} {
 		s := NewWithConfig(Config{Kernel: kind})
 		mustPanic("nil handler", func() { s.Emit(time.Second, nil, 0) })
-		mustPanic("negative delay", func() { s.Emit(-1, func(int) {}, 0) })
-		s.Schedule(time.Second, func() {})
+		mustPanic("negative delay", func() { s.Emit(-1, noop, 0) })
+		s.Emit(time.Second, noop, 0)
 		s.Run()
-		mustPanic("past event", func() { s.EmitAt(time.Millisecond, func(int) {}, 0) })
+		mustPanic("past event", func() { s.EmitAt(time.Millisecond, noop, 0) })
 	}
 }
 
-// TestWheelEmitChurnDoesNotAllocate proves the inline fire-and-forget
-// path is node-free and allocation-free in steady state: after the
-// chunk pool warms, an Emit-per-fire churn loop performs zero
-// allocations.
+// TestWheelEmitChurnDoesNotAllocate proves the wheel's admission path
+// is allocation-free in steady state: after the chunk pool warms, an
+// Emit-per-fire churn loop performs zero allocations.
 func TestWheelEmitChurnDoesNotAllocate(t *testing.T) {
 	s := NewWithConfig(Config{Kernel: KernelWheel, WheelTick: time.Microsecond})
 	var fn ArgHandler
@@ -322,10 +295,9 @@ func TestWheelEmitChurnDoesNotAllocate(t *testing.T) {
 
 // TestKernelEquivalenceRandomized drives both backends through an
 // identical randomized workload — mixed delays spanning bucket, wheel
-// and overflow ranges, exact-tie timestamps, a blend of cancellable
-// ScheduleArgAt and fire-and-forget EmitAt admissions, cancels (some
-// of events already past), RunUntil slices, and a Reset midway — and
-// requires the byte-identical fire sequence.
+// and overflow ranges, exact-tie timestamps, handlers that admit
+// follow-up events, RunUntil slices, and a Reset midway — and requires
+// the byte-identical fire sequence.
 func TestKernelEquivalenceRandomized(t *testing.T) {
 	type fire struct {
 		at  time.Duration
@@ -339,8 +311,13 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 		}
 		s := NewWithConfig(Config{Kernel: kind, WheelTick: 4 * time.Microsecond})
 		var fires []fire
-		var timers []Timer
 		fn := func(arg int) { fires = append(fires, fire{s.Now(), arg}) }
+		// echo fires like fn and admits one follow-up at an exact tie
+		// with its own instant or shortly after.
+		echo := func(arg int) {
+			fn(arg)
+			s.Emit(time.Duration(next(3))*time.Microsecond, fn, arg+1_000_000)
+		}
 		inject := func(base int) {
 			for i := 0; i < 400; i++ {
 				var at time.Duration
@@ -354,14 +331,10 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 					at = s.Now() + time.Duration(next(2_000_000))*time.Nanosecond
 				}
 				if next(4) == 0 {
-					s.EmitAt(at, fn, base+i)
+					s.EmitAt(at, echo, base+i)
 				} else {
-					timers = append(timers, s.ScheduleArgAt(at, fn, base+i))
+					s.EmitAt(at, fn, base+i)
 				}
-			}
-			// Cancel a random third, including already-fired handles.
-			for i := 0; i < len(timers)/3; i++ {
-				timers[next(uint64(len(timers)))].Cancel()
 			}
 		}
 		inject(0)
@@ -371,6 +344,8 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 		inject(20_000)
 		s.Run()
 		fires = append(fires, fire{s.Now(), -1})
+		inject(25_000)
+		s.RunUntil(s.Now() + time.Millisecond)
 		s.Reset()
 		inject(30_000)
 		s.RunUntil(2 * time.Millisecond)

@@ -93,6 +93,7 @@ type backgroundDriver struct {
 	horizon time.Duration
 	stats   BackgroundStats
 	hosts   []*backgroundHost
+	fn      des.ArgHandler // connect, bound once; the argument is a host index
 }
 
 // newBackgroundDriver builds the driver and schedules each host's first
@@ -106,28 +107,30 @@ func newBackgroundDriver(s *des.Simulator, d defense.Defense, cfg BackgroundConf
 		horizon: horizon,
 		hosts:   make([]*backgroundHost, cfg.Hosts),
 	}
+	bd.fn = bd.connect
 	for i := range bd.hosts {
 		// Legitimate hosts live in a reserved block so they never
 		// collide with the vulnerable population.
 		bd.hosts[i] = &backgroundHost{ip: addr.IP(0xF0000000 | uint32(i))}
-		bd.scheduleNext(bd.hosts[i])
+		bd.scheduleNext(i)
 	}
 	return bd
 }
 
-// scheduleNext books the host's next connection if it lands before the
+// scheduleNext books host i's next connection if it lands before the
 // horizon.
-func (bd *backgroundDriver) scheduleNext(h *backgroundHost) {
+func (bd *backgroundDriver) scheduleNext(i int) {
 	delay := time.Duration(rng.Exponential(bd.src, bd.cfg.ConnRate) * float64(time.Second))
 	at := bd.sim.Now() + delay
 	if at > bd.horizon {
 		return
 	}
-	bd.sim.ScheduleAt(at, func() { bd.connect(h) })
+	bd.sim.EmitAt(at, bd.fn, i)
 }
 
-// connect performs one legitimate connection attempt.
-func (bd *backgroundDriver) connect(h *backgroundHost) {
+// connect performs one legitimate connection attempt by host i.
+func (bd *backgroundDriver) connect(i int) {
+	h := bd.hosts[i]
 	var dst addr.IP
 	if len(h.pool) == 0 || bd.src.Float64() < bd.cfg.NewDestProb {
 		// A brand-new destination; popular internet servers share a
@@ -148,7 +151,7 @@ func (bd *backgroundDriver) connect(h *backgroundHost) {
 	case defense.Drop:
 		bd.stats.Dropped++
 	}
-	bd.scheduleNext(h)
+	bd.scheduleNext(i)
 }
 
 // finalize counts still-blocked hosts and returns the stats.

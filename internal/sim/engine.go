@@ -282,14 +282,14 @@ type engine struct {
 	// countermeasure start-up), scan/patch/immunize events accumulate
 	// in batch and are admitted through one des.ScheduleBatch call —
 	// sequence numbers are assigned in append order, so the fire order
-	// is byte-identical to individual Schedule calls.
+	// is byte-identical to individual EmitAt calls.
 	batching bool
 	batch    []des.BatchEvent
 
 	// Bound method values, created once per engine (not per event):
 	// scheduling a scan, patch or immunization passes one of these plus
-	// a host index through des.EmitAt — fire-and-forget, so no per-event
-	// closure and (on the wheel backend) no event node at all.
+	// a host index through des.EmitAt, so no per-event closure is
+	// allocated.
 	scanFn     des.ArgHandler // scanAttempt
 	patchFn    des.ArgHandler // patchFire
 	immunizeFn des.ArgHandler // immunizeFire
@@ -298,8 +298,8 @@ type engine struct {
 	// In-flight delayed deliveries (the throttle's Delay verdict): the
 	// event carries a slot index into pendDeliv instead of capturing
 	// (src, dst, parent) in a closure, so delayed deliveries are
-	// argument-form events too — allocation-free on the wheel backend
-	// and exportable by checkpoints. freeDeliv recycles fired slots;
+	// argument-form events too — allocation-free and exportable by
+	// checkpoints. freeDeliv recycles fired slots;
 	// its order is part of the simulation state (it decides which slot
 	// the next delay occupies), so checkpoints capture both.
 	pendDeliv []pendingDelivery
@@ -313,7 +313,7 @@ type pendingDelivery struct {
 	parent   int32
 }
 
-// Scratch is the reusable arena for RunWith: the event-kernel node pool,
+// Scratch is the reusable arena for RunWith: the event-kernel queues,
 // the population's address storage, and the per-host state slices, all
 // retained across runs so a replication loop allocates only the Result
 // it hands back. One Scratch serves one goroutine at a time; pair it
@@ -382,7 +382,7 @@ func Run(cfg Config) (*Result, error) {
 	return RunWith(cfg, nil)
 }
 
-// RunWith is Run drawing its working memory — event-kernel node pool,
+// RunWith is Run drawing its working memory — event-kernel queues,
 // population storage, per-host state — from scratch. A nil scratch
 // allocates a fresh arena (identical to Run). Results are bit-identical
 // with and without arena reuse: every buffer is fully reset before use

@@ -59,7 +59,7 @@ func TestKernelWheelGoldenParity(t *testing.T) {
 
 // TestKernelWheelScratchReuse flips one Scratch between backends across
 // a shuffled seed schedule: kernel switches must not leak state through
-// the shared node pool or population arena.
+// the shared kernel queues or population arena.
 func TestKernelWheelScratchReuse(t *testing.T) {
 	scratch := NewScratch()
 	schedule := []struct {
